@@ -1,132 +1,11 @@
-"""Accelerated hot-core backends (DESIGN §16).
+"""Compatibility stub: the simulator has a single pure-Python backend.
 
-``repro profile`` attributes most host time to four substrates: the
-kernel event loop, the Bloom-signature conflict scan, the redirect
-summary signature, and the directory sharer bookkeeping.  This package
-supplies *drop-in* implementations of exactly those substrates behind a
-tiny registry:
-
-* ``pure`` — the existing big-int / heap implementations (default);
-* ``vector`` — numpy word-array signatures with a batched conflict
-  scan, a vectorized counting summary, bitmask sharer sets, and a
-  calendar event queue with an allocation-free ``schedule_fast`` path.
-
-The contract is absolute: per-seed :class:`~repro.simulator.SimResult`
-objects are **bit-identical** across backends for every scheme.  The
-determinism suite, the golden per-seed digests and the cross-backend
-parity tests are the gate; because results never differ, the backend is
-deliberately *not* part of :class:`~repro.runner.ExperimentSpec`
-identity and cached results stay valid whichever backend produced them.
-
-Selection precedence: an explicit ``HTMConfig.accel`` value beats the
-``REPRO_ACCEL`` environment variable beats the ``pure`` default.
-``auto`` degrades silently when the vector backend is unavailable; a
-*forced* ``vector`` raises :class:`~repro.errors.AccelUnavailableError`
-instead, because a forced name in a config or CI job is a claim about
-the environment.
+This module exists only because ``perfbench/run.py`` records
+``default_backend_name()`` in its provenance; it goes away once the
+benchmark stops importing it.
 """
-
-from __future__ import annotations
-
-import os
-import sys
-from typing import TYPE_CHECKING
-
-from repro.errors import AccelUnavailableError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.accel.pure import AccelBackend
-
-#: environment variable consulted when ``HTMConfig.accel`` is ``""``
-ACCEL_ENV = "REPRO_ACCEL"
-
-#: every backend name the registry knows how to build
-BACKEND_NAMES = ("pure", "vector")
-
-_INSTANCES: dict[str, "AccelBackend"] = {}
-
-
-def vector_unavailable_reason() -> str:
-    """Why the vector backend cannot run here; ``""`` when it can.
-
-    The word-array layout assumes a little-endian host (uint64 views of
-    packed bit streams), so big-endian machines fall back to pure even
-    with numpy installed.
-    """
-    if sys.byteorder != "little":
-        return f"word-array layout needs a little-endian host, not {sys.byteorder}"
-    try:
-        import numpy  # noqa: F401
-    except Exception as exc:  # pragma: no cover — numpy ships in the image
-        return f"numpy is not importable ({exc})"
-    return ""
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names that can actually run on this host."""
-    names = ["pure"]
-    if not vector_unavailable_reason():
-        names.append("vector")
-    return tuple(names)
-
-
-def resolve_backend(name: str = "") -> "AccelBackend":
-    """The backend for ``name`` (an ``HTMConfig.accel`` value).
-
-    ``""`` defers to ``$REPRO_ACCEL`` (default ``pure``); ``auto``
-    picks ``vector`` when available and degrades to ``pure``
-    otherwise; a forced ``pure``/``vector`` is honoured or raises
-    :class:`AccelUnavailableError`.  Backend objects are stateless
-    singletons — per-run state (signature pools, queues) is created by
-    their ``make_*`` factories.
-    """
-    requested = name or os.environ.get(ACCEL_ENV, "") or "pure"
-    if requested == "auto":
-        requested = "vector" if not vector_unavailable_reason() else "pure"
-    if requested not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown accel backend {requested!r} "
-            f"(expected one of {', '.join(BACKEND_NAMES)} or 'auto')"
-        )
-    if requested == "vector":
-        reason = vector_unavailable_reason()
-        if reason:
-            raise AccelUnavailableError(
-                "the vector accel backend was forced but cannot run here",
-                backend="vector", reason=reason,
-            )
-    backend = _INSTANCES.get(requested)
-    if backend is None:
-        if requested == "vector":
-            from repro.accel.vector import VectorBackend
-
-            backend = VectorBackend()
-        else:
-            from repro.accel.pure import PureBackend
-
-            backend = PureBackend()
-        _INSTANCES[requested] = backend
-    return backend
 
 
 def default_backend_name() -> str:
-    """The backend name an unconfigured run would use right now.
-
-    Reads ``$REPRO_ACCEL`` like :func:`resolve_backend` does but never
-    raises: a forced-but-unavailable selection is reported as
-    ``"<name> (unavailable)"`` so provenance records the intent.
-    """
-    try:
-        return resolve_backend("").name
-    except AccelUnavailableError:
-        return f"{os.environ.get(ACCEL_ENV, 'pure')} (unavailable)"
-
-
-__all__ = [
-    "ACCEL_ENV",
-    "BACKEND_NAMES",
-    "available_backends",
-    "default_backend_name",
-    "resolve_backend",
-    "vector_unavailable_reason",
-]
+    """The name of the one host backend, for benchmark provenance."""
+    return "pure"

@@ -492,8 +492,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
          "txs/s"],
         rows,
         title=f"bench — scale {args.scale}, "
-              f"calibration {doc['calibration_s']:.3f}s, "
-              f"accel {doc['provenance']['accel_backend']}",
+              f"calibration {doc['calibration_s']:.3f}s",
     ))
     print()
     print(format_phase_table({
@@ -757,10 +756,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--scale", choices=("tiny", "small", "full"),
                    default="small")
-    p.add_argument("--resolution", "--policy", choices=_RESOLUTIONS,
+    p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall",
-                   help="conflict-resolution axis (--policy is the "
-                        "deprecated spelling)")
+                   help="conflict-resolution axis")
     p.add_argument("--arbitration", default="serial",
                    help="commit-arbitration axis: serial or widthN "
                         "(N >= 2); applies to lazy-mode commits")
@@ -852,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tiny")
     p.add_argument("--cores", type=int, default=8)
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--resolution", "--policy", choices=_RESOLUTIONS,
+    p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall")
     p.add_argument("--arbitration", default="serial")
     p.add_argument("--stagger", type=int, default=512)
@@ -941,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tiny")
     p.add_argument("--cores", type=int, default=4)
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--resolution", "--policy", choices=_RESOLUTIONS,
+    p.add_argument("--resolution", choices=_RESOLUTIONS,
                    default="stall")
     p.add_argument("--arbitration", default="serial")
     p.add_argument("--stagger", type=int, default=512)

@@ -125,10 +125,6 @@ class RedirectConfig:
 class HTMConfig:
     """Transactional-memory policy parameters shared by all schemes."""
 
-    #: deprecated spelling of :attr:`resolution`; kept so old configs
-    #: keep working.  ``"abort"`` maps to ``"abort_requester"``.  Using
-    #: it emits a :class:`DeprecationWarning`; prefer ``resolution=``.
-    policy: str = ""
     #: conflict-resolution axis: ``stall`` (requester stalls; deadlock
     #: cycles are broken by aborting the youngest transaction),
     #: ``abort_requester`` (requester immediately aborts — partially,
@@ -138,7 +134,7 @@ class HTMConfig:
     #: of the contention managers ``polite``/``greedy``/``karma`` (see
     #: :mod:`repro.htm.policy` for their semantics).  The legal value
     #: set is :data:`repro.htm.policy.RESOLUTION_AXIS`.
-    resolution: str = ""
+    resolution: str = "stall"
     #: commit-arbitration axis for lazy-mode commits: ``serial`` (one
     #: committer at a time, the classic global token) or ``widthN``
     #: (N read/write-disjoint committers may overlap, N >= 2).
@@ -159,15 +155,6 @@ class HTMConfig:
     #: at cycle 0 (deterministic timing, used by the unit tests); the
     #: benchmark harness uses a realistic window.
     start_stagger: int = 0
-    #: host-acceleration backend for the hot substrates (event queue,
-    #: signatures, conflict scan, directory): ``""`` defers to the
-    #: ``REPRO_ACCEL`` environment variable (default ``pure``),
-    #: ``pure``/``vector`` force a backend, ``auto`` picks ``vector``
-    #: when available and falls back to ``pure``.  Simulated results
-    #: are bit-identical across backends (DESIGN §16), so this knob is
-    #: deliberately *not* part of :class:`~repro.runner.ExperimentSpec`
-    #: identity and never invalidates cached results.
-    accel: str = ""
     #: scheduler time slice for thread multiplexing (Section IV-C).
     #: 0 = no preemption unless there are more threads than cores, in
     #: which case a 20K-cycle default slice applies.
@@ -181,47 +168,17 @@ class HTMConfig:
     tx_slice_grace: int = 10
 
     def __post_init__(self) -> None:
-        resolution = self.resolution
-        if self.policy:
-            import warnings
-
-            mapped = (
-                "abort_requester" if self.policy == "abort" else self.policy
-            )
-            warnings.warn(
-                f"HTMConfig(policy={self.policy!r}) is deprecated; use "
-                f"HTMConfig(resolution={mapped!r})",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if resolution and resolution != mapped:
-                raise ValueError(
-                    f"conflicting policy={self.policy!r} and "
-                    f"resolution={resolution!r}"
-                )
-            resolution = mapped
-        if not resolution:
-            resolution = "stall"
         # deferred import: repro.htm.policy (via the repro.htm package)
         # imports this module at load time
         from repro.htm.policy import RESOLUTION_AXIS
 
-        if resolution not in RESOLUTION_AXIS:
-            raise ValueError(f"unknown conflict resolution {resolution!r}")
-        if self.accel not in ("", "pure", "vector", "auto"):
-            raise ValueError(
-                f"unknown accel backend {self.accel!r} "
-                "(expected '', 'pure', 'vector' or 'auto')"
-            )
+        if self.resolution not in RESOLUTION_AXIS:
+            raise ValueError(f"unknown conflict resolution {self.resolution!r}")
         arb = self.arbitration
         if arb != "serial" and not (
             arb.startswith("width") and arb[5:].isdigit() and int(arb[5:]) >= 2
         ):
             raise ValueError(f"unknown commit arbitration {arb!r}")
-        # normalize in place (frozen dataclass): the deprecated field is
-        # cleared so dataclasses.replace() does not re-warn
-        object.__setattr__(self, "policy", "")
-        object.__setattr__(self, "resolution", resolution)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ lookups, never correctness.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.config import RedirectConfig
+from repro.signatures.bloom import CountingSummarySignature
 
 
 class RedirectSummaryFilter:
@@ -28,14 +27,10 @@ class RedirectSummaryFilter:
     in :mod:`repro.hwcost.storage`.
     """
 
-    def __init__(self, config: RedirectConfig, accel: Any = None) -> None:
+    def __init__(self, config: RedirectConfig) -> None:
         self.config = config
         self.enabled = config.use_summary_signature
-        if accel is None:
-            from repro.accel import resolve_backend
-
-            accel = resolve_backend()
-        self._sig = accel.make_counting_summary(
+        self._sig = CountingSummarySignature(
             config.summary_bits, config.summary_hashes
         )
         self.filtered = 0        # accesses proven unredirected (no lookup)
@@ -93,8 +88,6 @@ class RedirectSummaryFilter:
         """
         if self._removes_since_rebuild < self.rebuild_threshold:
             return False
-        # rebuild() is order-independent (see CountingSummarySignature),
-        # so the vector backend replaces the per-line loop wholesale
         self._sig.rebuild(live_lines)
         self._removes_since_rebuild = 0
         self.rebuilds += 1

@@ -91,27 +91,6 @@ class PoolExhausted(ReproError, RuntimeError):
         self.live_lines = live_lines
 
 
-class AccelUnavailableError(ReproError, RuntimeError):
-    """A forced accel backend cannot run on this host.
-
-    Raised by :func:`repro.accel.resolve_backend` when ``REPRO_ACCEL``
-    (or ``HTMConfig.accel``) *forces* a backend whose host requirements
-    are missing.  Only a forced selection raises: ``accel="auto"``
-    degrades to the pure backend silently, because auto-selection is a
-    performance preference, while a forced name in a config or CI job
-    is a correctness claim about the environment.
-    """
-
-    def __init__(self, message: str, backend: str = "", reason: str = ""):
-        self.backend = backend
-        self.reason = reason
-        if backend:
-            message = f"{message} [backend={backend}]"
-        if reason:
-            message = f"{message}: {reason}"
-        super().__init__(message)
-
-
 class RetryBudgetExhausted(ReproError, RuntimeError):
     """A spec used up its per-spec retry budget and failed terminally.
 

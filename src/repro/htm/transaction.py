@@ -71,23 +71,16 @@ class TxFrame:
         now: int,
         sig_config: SignatureConfig,
         mode: str = "eager",
-        sig_factory: "Callable[[], Any] | None" = None,
     ) -> "TxFrame":
-        # the simulator passes its accel backend's signature factory so
-        # vector-backend frames draw rows from the shared pool; bare
-        # construction (tests, tools) keeps the pure big-int default
-        if sig_factory is None:
-            def sig_factory() -> BloomSignature:
-                return BloomSignature(sig_config.bits, sig_config.hashes,
-                                      sig_config.seed)
+        cfg = sig_config
         return cls(
             site=site,
             body_factory=body_factory,
             depth=depth,
             timestamp=timestamp,
             start_time=now,
-            read_sig=sig_factory(),
-            write_sig=sig_factory(),
+            read_sig=BloomSignature(cfg.bits, cfg.hashes, cfg.seed),
+            write_sig=BloomSignature(cfg.bits, cfg.hashes, cfg.seed),
             mode=mode,
         )
 
@@ -145,12 +138,10 @@ class TxFrame:
     # reuses it.  Both signatures share the same hash family (one
     # silicon matrix), so one mask serves both — but each signature is
     # tested separately: OR-ing the filter words first would merge bit
-    # sets and manufacture false positives.  The mask is a big int for
-    # the pure backend and a uint64 word array for the vector one;
-    # ``test_mask`` consumes whichever its signature produced.
-    def may_read_conflict_mask(self, mask: Any) -> bool:
+    # sets and manufacture false positives.
+    def may_read_conflict_mask(self, mask: int) -> bool:
         return (self.read_sig.test_mask(mask)
                 or self.write_sig.test_mask(mask))
 
-    def may_write_conflict_mask(self, mask: Any) -> bool:
+    def may_write_conflict_mask(self, mask: int) -> bool:
         return self.write_sig.test_mask(mask)

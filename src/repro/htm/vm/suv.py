@@ -65,11 +65,7 @@ class SUV(VersionManager):
         self.pool = PreservedPool(
             rcfg.pool_base, rcfg.pool_page_bytes, rcfg.pool_max_pages
         )
-        from repro.accel import resolve_backend
-
-        self.summary = RedirectSummaryFilter(
-            rcfg, accel=resolve_backend(config.htm.accel)
-        )
+        self.summary = RedirectSummaryFilter(rcfg)
         #: orig_lines of VALID entries with an in-flight "swap" action
         #: (redirect-back disabled): their pool lines must not be
         #: reclaimed while the owning transaction is open.

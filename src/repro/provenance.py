@@ -67,11 +67,6 @@ def _host_provenance() -> dict:
 def provenance() -> dict:
     """A JSON-safe record identifying code, interpreter and host.
 
-    The accel backend is resolved fresh on every call (``REPRO_ACCEL``
-    can change between runs inside one process, e.g. in tests), on top
-    of the cached host record.  Backends never change simulated results
-    — the key records host-performance context, not result identity.
+    A fresh copy of the cached record, so callers may extend it.
     """
-    from repro.accel import default_backend_name
-
-    return {**_host_provenance(), "accel_backend": default_backend_name()}
+    return dict(_host_provenance())

@@ -32,7 +32,7 @@ from repro.errors import IncompatiblePolicyError
 from repro.htm.policy import SchemeComposition
 
 #: bump when the spec encoding changes, so stale cache entries never match
-SPEC_FORMAT_VERSION = 3
+SPEC_FORMAT_VERSION = 4
 
 _SCALES = ("tiny", "small", "full")
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -74,8 +74,6 @@ class ExperimentSpec:
     seed: int = 3
     cores: int = 16
     threads: int = 0  # 0 = one software thread per core
-    #: deprecated spelling of :attr:`resolution` (kept for old specs)
-    policy: str = ""
     #: conflict-resolution axis for registered (non-composed) schemes
     resolution: str = "stall"
     #: commit-arbitration axis for registered (non-composed) schemes
@@ -105,25 +103,6 @@ class ExperimentSpec:
             if comp is not None:
                 scheme = comp.check().name
         object.__setattr__(self, "scheme", scheme)
-        if self.policy:
-            import warnings
-
-            mapped = (
-                "abort_requester" if self.policy == "abort" else self.policy
-            )
-            warnings.warn(
-                f"ExperimentSpec(policy={self.policy!r}) is deprecated; "
-                f"use resolution={mapped!r}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.resolution not in ("", "stall", mapped):
-                raise ValueError(
-                    f"conflicting policy={self.policy!r} and "
-                    f"resolution={self.resolution!r}"
-                )
-            object.__setattr__(self, "resolution", mapped)
-            object.__setattr__(self, "policy", "")
         object.__setattr__(
             self,
             "config_overrides",

@@ -55,9 +55,7 @@ class BloomSignature:
         :meth:`test_mask`.
 
         Callers probing one line against several signatures fetch the
-        mask once here instead of paying a memo lookup per signature;
-        the vector backend returns a word array from the same method,
-        so mask-reusing call sites stay backend-agnostic.
+        mask once here instead of paying a memo lookup per signature.
         """
         return self._hash.mask(value)
 
@@ -169,14 +167,7 @@ class CountingSummarySignature:
         self._once = 0
 
     def rebuild(self, values) -> None:
-        """Clear and re-insert ``values`` (the periodic software rebuild).
-
-        Sequential re-insertion from empty is order-independent (the
-        final ``sig``/``once`` words depend only on the multiset of
-        inserted addresses), which is what lets the vector backend
-        replace this loop with whole-array operations while staying
-        bit-identical.
-        """
+        """Clear and re-insert ``values`` (the periodic software rebuild)."""
         self.clear()
         for value in values:
             self.add(value)

@@ -124,10 +124,9 @@ class EventQueue:
 
     #: fire-and-forget variant of :meth:`schedule` for call sites that
     #: never cancel (the overwhelming majority of the simulator's hot
-    #: scheduling).  The pure queue has no cheaper representation than
-    #: an Event, so this is an alias; the vector backend's calendar
-    #: queue overrides it with a no-allocation fast path.  Callers must
-    #: treat the return value as ``None``.
+    #: scheduling).  It is a plain alias: the separate name lets a
+    #: profiler wrap fire-and-forget scheduling apart from cancellable
+    #: events.  Callers must treat the return value as ``None``.
     schedule_fast = schedule
 
     # ------------------------------------------------------------------

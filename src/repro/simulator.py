@@ -37,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
-from repro.accel import resolve_backend
 from repro.config import LINE_SHIFT, SimConfig
 from repro.errors import DeadlockError, InvariantViolation, TransactionError
 from repro.faults import FaultInjector, FaultPlan
@@ -53,6 +52,7 @@ from repro.htm.transaction import TxFrame
 from repro.htm.vm.base import VersionManager, make_version_manager
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.oracle import OracleRecorder
+from repro.signatures.hashes import H3HashFamily
 from repro.sim.kernel import Event, EventQueue
 from repro.sim.rng import RngStreams
 from repro.stats.breakdown import Breakdown
@@ -274,13 +274,7 @@ class Simulator:
         trace: Tracer | bool | int | None = None,
     ) -> None:
         self.config = config or SimConfig()
-        #: accel backend (DESIGN §16): supplies the event queue, the
-        #: frame signatures + conflict scan, the summary signature and
-        #: the directory.  Simulated results are bit-identical across
-        #: backends; only host speed differs.
-        self.accel = resolve_backend(self.config.htm.accel)
-        # pure EventQueue or the vector calendar queue (duck-typed twin)
-        self.queue: EventQueue = self.accel.make_event_queue()
+        self.queue = EventQueue()
         self.rng = RngStreams(seed)
         self.hierarchy = MemoryHierarchy(self.config)
         self.memory = self.hierarchy.memory
@@ -298,18 +292,14 @@ class Simulator:
         #: silicon hash matrix); the conflict scan fetches one mask per
         #: probed line from it instead of re-hashing per signature
         sig = self.config.signature
-        self._sig_ctx = self.accel.make_signature_context(sig)
-        self._sig_family = self._sig_ctx.family
-        #: row pool of the vector backend (None on pure): its presence
-        #: selects the batched conflict scan in ``_find_conflict``
-        self._sig_pool = self._sig_ctx.pool
+        self._sig_family = H3HashFamily.shared(sig.hashes, sig.bits, sig.seed)
         #: per-frame scheme hooks resolved once — probing them with
         #: getattr() on every access is measurable on the hot path
         self._spec_for_frame = getattr(self.scheme, "speculative_for", None)
         self._local_for_frame = getattr(self.scheme, "local_writes_for", None)
         self._spec_const = self.scheme.wants_speculative_marking()
         self._local_const = self.scheme.uses_local_writes()
-        self._mask_of = self._sig_ctx.mask_of
+        self._mask_of = self._sig_family.mask
         #: multiversion snapshot hooks (mvsuv); every one is None for
         #: ordinary schemes, so the per-access guard is one attribute
         #: test and no behaviour changes
@@ -653,7 +643,6 @@ class Simulator:
             now=self.queue.now,
             sig_config=self.config.signature,
             mode=mode,
-            sig_factory=self._sig_ctx.make_signature,
         )
         frame.parent = core.frames[-1] if core.frames else None
         frame.read_only = declared_ro
@@ -1129,8 +1118,6 @@ class Simulator:
         self, core: _Core, line: int, is_write: bool
     ) -> tuple[str, Any] | None:
         """The first conflicting holder: ("core", idx) or ("suspended", ctx)."""
-        if self._sig_pool is not None:
-            return self._find_conflict_vector(core, line, is_write)
         # one H3 mask for the probed line serves every signature test in
         # the scan; the per-frame visibility and Bloom tests are inlined
         # because this loop runs for every access of every core (DESIGN
@@ -1153,52 +1140,6 @@ class Simulator:
         if self._multiplex:
             # suspended transactions' signatures stay armed (the summary
             # signature of Section IV-C)
-            for ctx in self._ctxs:
-                if ctx.done or not ctx.frames or ctx is core.ctx:
-                    continue
-                if any(c.ctx is ctx for c in self.cores):
-                    continue  # mounted: handled above
-                if self._frames_conflict_mask(ctx.frames, mask, is_write) is not None:
-                    return ("suspended", ctx)
-        return None
-
-    def _find_conflict_vector(
-        self, core: _Core, line: int, is_write: bool
-    ) -> tuple[str, Any] | None:
-        """Batched conflict scan over the vector backend's row pool.
-
-        The rows of every visible frame are gathered *in the pure scan
-        order* (per core, write signature first, then — on a write probe
-        — the read signature) with a parallel owners list, and probed
-        against one precomputed mask in a single vectorized comparison.
-        ``first_match`` returns the first matching row, so the reported
-        conflicting core is exactly the one the pure loop would find;
-        rows of the same core are interchangeable because both orders
-        name the same owner.
-        """
-        mask = self._mask_of(line)
-        my_idx = core.idx
-        rows: list[int] = []
-        owners: list[int] = []
-        for other in self.cores:
-            octx = other.ctx
-            if octx is None or other.idx == my_idx:
-                continue
-            for frame in octx.frames:
-                if frame.mode == "lazy" and not frame.vm.get("publishing"):
-                    continue  # invisible until it starts publishing
-                rows.append(frame.write_sig._row)
-                owners.append(other.idx)
-                if is_write:
-                    rows.append(frame.read_sig._row)
-                    owners.append(other.idx)
-        if rows:
-            hit = self._sig_pool.first_match(rows, mask)
-            if hit >= 0:
-                return ("core", owners[hit])
-        if self._multiplex:
-            # suspended contexts are few and cold; the per-frame mask
-            # tests below consume the vector mask directly
             for ctx in self._ctxs:
                 if ctx.done or not ctx.frames or ctx is core.ctx:
                     continue

@@ -1,7 +1,5 @@
 """The four-axis policy decomposition: legality, parsing, registry, shims."""
 
-import dataclasses
-
 import pytest
 
 from repro.config import HTMConfig, SimConfig
@@ -160,30 +158,7 @@ def test_vm_package_exports_policy_api():
         assert hasattr(vm, name)
 
 
-# -- the HTMConfig deprecation shim --------------------------------------
-
-def test_htmconfig_policy_is_deprecated_but_maps():
-    with pytest.warns(DeprecationWarning, match="resolution"):
-        cfg = HTMConfig(policy="abort")
-    assert cfg.resolution == "abort_requester"
-    assert cfg.policy == ""
-    with pytest.warns(DeprecationWarning):
-        cfg = HTMConfig(policy="stall")
-    assert cfg.resolution == "stall"
-
-
-def test_htmconfig_replace_does_not_rewarn():
-    with pytest.warns(DeprecationWarning):
-        cfg = HTMConfig(policy="abort_responder")
-    # -W error in the suite turns any stray warning into a failure here
-    again = dataclasses.replace(cfg, checkpoint_cycles=8)
-    assert again.resolution == "abort_responder"
-
-
-def test_htmconfig_rejects_conflicts_and_unknowns():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="conflicting"):
-            HTMConfig(policy="abort", resolution="stall")
+def test_htmconfig_rejects_unknown_axes():
     with pytest.raises(ValueError, match="resolution"):
         HTMConfig(resolution="nope")
     with pytest.raises(ValueError, match="arbitration"):

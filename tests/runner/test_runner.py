@@ -328,6 +328,18 @@ def test_artifacts_record_provenance(tmp_path):
     assert "git_revision" in prov and "git_dirty" in prov
 
 
+def test_provenance_is_a_host_record_copy():
+    from repro.accel import default_backend_name
+    from repro.provenance import provenance
+
+    prov = provenance()
+    assert "accel_backend" not in prov
+    prov["extra"] = 1
+    assert "extra" not in provenance()
+    # perfbench/run.py still imports this stub for its provenance
+    assert default_backend_name() == "pure"
+
+
 def test_progress_callable_sees_every_run():
     lines = []
     runner = Runner(max_workers=1, retries=0, progress=lines.append)

@@ -56,20 +56,6 @@ def test_build_config_applies_overrides_and_knobs():
     assert config.signature.bits == 256
 
 
-def test_spec_policy_kwarg_is_deprecated_but_works():
-    with pytest.warns(DeprecationWarning):
-        spec = ExperimentSpec("genome", policy="abort")
-    assert spec.resolution == "abort_requester"
-    assert spec.policy == ""
-    # the shim normalizes, so old and new spellings hash identically
-    with pytest.warns(DeprecationWarning):
-        old = ExperimentSpec("genome", policy="abort_requester")
-    assert old.spec_hash() == spec.spec_hash()
-    assert spec.spec_hash() == ExperimentSpec(
-        "genome", resolution="abort_requester"
-    ).spec_hash()
-
-
 def test_build_config_rejects_unknown_paths():
     with pytest.raises(ValueError):
         ExperimentSpec(

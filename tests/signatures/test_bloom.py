@@ -43,6 +43,9 @@ def test_no_false_negatives_small():
     for v in values:
         sig.add(v)
     assert all(sig.test(v) for v in values)
+    # the precomputed-mask path answers exactly like test()
+    for v in range(0, 8000, 37):
+        assert sig.test_mask(sig.line_mask(v)) == sig.test(v)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1 << 40), max_size=200))
@@ -172,6 +175,16 @@ def test_summary_clear():
     s.add(1)
     s.clear()
     assert s.is_empty and not s.test(1)
+    # rebuild is clear + re-insertion; a collision-heavy 64-bit filter
+    # exercises the doubly-hit (non-unique) bits
+    for bits, values in ((2048, [1, 2, 3, 2]), (64, list(range(0, 500, 7)))):
+        rebuilt = CountingSummarySignature(bits, 2)
+        rebuilt.add(0xDEAD)
+        rebuilt.rebuild(values)
+        fresh = CountingSummarySignature(bits, 2)
+        for v in values:
+            fresh.add(v)
+        assert (rebuilt._sig, rebuilt._once) == (fresh._sig, fresh._once)
 
 
 def test_summary_counters():
