@@ -175,16 +175,31 @@ def test_summary_clear():
     s.add(1)
     s.clear()
     assert s.is_empty and not s.test(1)
-    # rebuild is clear + re-insertion; a collision-heavy 64-bit filter
-    # exercises the doubly-hit (non-unique) bits
-    for bits, values in ((2048, [1, 2, 3, 2]), (64, list(range(0, 500, 7)))):
-        rebuilt = CountingSummarySignature(bits, 2)
-        rebuilt.add(0xDEAD)
-        rebuilt.rebuild(values)
-        fresh = CountingSummarySignature(bits, 2)
-        for v in values:
-            fresh.add(v)
-        assert (rebuilt._sig, rebuilt._once) == (fresh._sig, fresh._once)
+
+
+def _rebuild_matches_reinsertion(bits, values, **kw):
+    # rebuild is clear + re-insertion of the surviving lines
+    rebuilt = CountingSummarySignature(bits, 2, **kw)
+    rebuilt.add(0xDEAD)
+    rebuilt.rebuild(values)
+    fresh = CountingSummarySignature(bits, 2, **kw)
+    for v in values:
+        fresh.add(v)
+    assert (rebuilt._sig, rebuilt._once) == (fresh._sig, fresh._once)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 28) - 1), max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_rebuild_matches_sequential_reinsertion(values):
+    _rebuild_matches_reinsertion(2048, values)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=500), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_rebuild_collision_heavy_geometry(values):
+    # 64-bit / 2-hash filters collide constantly, stressing the doubly-hit
+    # (non-unique) bits that the once-mask must track
+    _rebuild_matches_reinsertion(64, values, seed=0x5BB)
 
 
 def test_summary_counters():
