@@ -18,16 +18,16 @@ Commands:
   and audit the resilience invariants.
 * ``faults`` — run a fault-injection campaign (schemes × workloads ×
   fault plans) with the atomicity oracle enabled on every run.
-* ``bench`` — run the pinned host-performance matrix and write a
-  schema-versioned ``BENCH_<date>.json``.
-* ``compare-bench`` — diff two BENCH files; exits non-zero past the
-  regression thresholds (the CI gate).
 * ``study`` — design-space study: sweep the legal policy space over a
   workload set, rank combinations, compute per-workload Pareto fronts
   over (cycles, aborts, pool high-water) and write a schema-versioned
   ``STUDY_<date>.json``; ``study report`` re-renders one, ``study
   compare`` diffs two modulo volatile sections (the determinism gate).
+* ``profile`` — profile one spec on the host: top-N cProfile hotspots
+  next to the simulated per-component cycle table.
 * ``hwcost`` — print the Table VII / Section V-C hardware-cost report.
+* ``schemes`` — describe the scheme registry and the composed
+  vm × cd × resolution × arbitration policy space.
 * ``list`` — list workloads, schemes and fault-plan presets.
 
 The commands are thin adapters over the :mod:`repro.runner` API:
@@ -44,7 +44,6 @@ import os
 import sys
 import time
 
-from repro.config import SimConfig
 from repro.errors import IncompatiblePolicyError, UnknownSchemeError
 from repro.faults import list_presets
 from repro.htm.policy import RESOLUTION_AXIS
@@ -115,19 +114,6 @@ def _spec_from_args(
         fault_plan=getattr(args, "fault_plan", "") or "",
         check=getattr(args, "check", False),
     )
-
-
-def _build_config(args: argparse.Namespace, **redirect_overrides) -> SimConfig:
-    """Thin adapter kept for back-compat: the SimConfig of ``args``."""
-    overrides = {f"redirect.{k}": v for k, v in redirect_overrides.items()}
-    return _spec_from_args(args, "suv", **overrides).build_config()
-
-
-def _run_one(
-    args: argparse.Namespace, scheme: str, **config_overrides
-) -> SimResult:
-    """Thin adapter over :func:`run_experiment` for one CLI run."""
-    return run_experiment(_spec_from_args(args, scheme, **config_overrides))
 
 
 def _run_specs(args: argparse.Namespace, specs: list[ExperimentSpec]) -> list[SimResult]:
@@ -469,61 +455,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned benchmark matrix and write ``BENCH_<date>.json``.
-
-    Per entry: fidelity metrics (simulated cycles/commits/aborts and
-    the isolation-window accounting, seed-deterministic) plus host
-    throughput (wall seconds, events/s, txs/s).  Gate with
-    ``repro compare-bench``.
-    """
-    from repro.bench import run_bench, write_bench
-
-    doc = run_bench(scale=args.scale)
-    path = write_bench(doc, args.out)
-    rows = [
-        [e["label"], f"{e['total_cycles']:,}", e["commits"], e["aborts"],
-         f"{e['wall_s']:.3f}", f"{e['events_per_s']:,.0f}",
-         f"{e['txs_per_s']:,.0f}"]
-        for e in doc["entries"]
-    ]
-    print(format_table(
-        ["run", "cycles", "commits", "aborts", "wall (s)", "events/s",
-         "txs/s"],
-        rows,
-        title=f"bench — scale {args.scale}, "
-              f"calibration {doc['calibration_s']:.3f}s",
-    ))
-    print()
-    print(format_phase_table({
-        e["label"]: e["phase_breakdown"] for e in doc["entries"]
-    }))
-    print()
-    print(f"wrote {path}")
-    return 0
-
-
-def cmd_compare_bench(args: argparse.Namespace) -> int:
-    """Diff two BENCH files; exit non-zero past the regression gate."""
-    from repro.bench import compare, load_bench
-
-    baseline = load_bench(args.baseline)
-    current = load_bench(args.current)
-    problems = compare(baseline, current, wall_threshold=args.wall_threshold)
-    if problems:
-        print(f"REGRESSION: {len(problems)} problem(s) vs {args.baseline}")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    print(f"ok: {len(current.get('entries', ()))} entries within "
-          f"{args.wall_threshold:.0%} of {args.baseline}")
-    return 0
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one spec on the host and print/emit the hotspot report.
 
-    ``repro bench`` tells you how fast; ``repro profile`` tells you
+    ``perfbench/`` tells you how fast; ``repro profile`` tells you
     where the host time goes: top-N cProfile hotspots next to the
     simulated per-component cycle table, optionally as JSON for
     machine consumption.
@@ -947,27 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes (0 = auto, at least 2)")
     p.set_defaults(fn=cmd_faults)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the pinned benchmark matrix, write BENCH_<date>.json",
-    )
-    p.add_argument("--scale", choices=("tiny", "small", "full"),
-                   default="tiny")
-    p.add_argument("--out", default="benchmarks/results",
-                   help="directory for the BENCH_<date>.json file")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "compare-bench",
-        help="diff two BENCH files; non-zero exit on regression",
-    )
-    p.add_argument("baseline", help="baseline BENCH_*.json")
-    p.add_argument("current", help="candidate BENCH_*.json")
-    p.add_argument("--wall-threshold", type=float, default=0.15,
-                   help="tolerated calibrated wall-time slowdown "
-                        "(fraction; fidelity metrics always exact)")
-    p.set_defaults(fn=cmd_compare_bench)
 
     p = sub.add_parser(
         "study",

@@ -1,9 +1,9 @@
 """Host-performance profiling for single specs (``repro profile``).
 
-The bench machinery (`repro bench`) answers *how fast* the simulator
-runs; this module answers *where the host time goes*.  It runs one
-:class:`~repro.runner.spec.ExperimentSpec` under :mod:`cProfile` and
-reduces the trace to a JSON-serializable report:
+The end-to-end benchmark (``perfbench/``) answers *how fast* the
+simulator runs; this module answers *where the host time goes*.  It
+runs one :class:`~repro.runner.spec.ExperimentSpec` under
+:mod:`cProfile` and reduces the trace to a JSON-serializable report:
 
 * **host** — wall seconds, simulated events/s and cycles/s, so a
   hotspot's weight can be read against the throughput it costs;
@@ -16,7 +16,7 @@ reduces the trace to a JSON-serializable report:
 
 Profiling overhead inflates small-function cost (the tracer hook fires
 on every call), so treat ``tottime`` as attribution, not as absolute
-speed — wall-clock comparisons belong to ``repro bench``.
+speed — speed comparisons belong to ``perfbench/``.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ Textual assertions keep a drive-by workflow edit from silently
 unpinning an action or dropping the determinism gate.
 """
 
+import argparse
 import re
 from pathlib import Path
 
-GITHUB = Path(__file__).resolve().parent.parent / ".github"
+from repro.cli import build_parser
+
+REPO = Path(__file__).resolve().parent.parent
+GITHUB = REPO / ".github"
 CI = GITHUB / "workflows" / "ci.yml"
 NIGHTLY = GITHUB / "workflows" / "nightly-study.yml"
 SETUP = GITHUB / "actions" / "setup-repro" / "action.yml"
@@ -19,6 +23,9 @@ SETUP = GITHUB / "actions" / "setup-repro" / "action.yml"
 #: exact semver tag, e.g. ``actions/checkout@v4.2.2``
 EXACT = re.compile(r"^v\d+\.\d+\.\d+$")
 USES = re.compile(r"uses:\s*(\S+)")
+#: ``python -m repro <cmd>`` and ``python <path>.py`` invocations
+REPRO_CMD = re.compile(r"-m\s+repro\s+([\w-]+)")
+SCRIPT = re.compile(r"\bpython\S*\s+([\w./-]+\.py)\b")
 
 
 def all_yaml_files():
@@ -107,3 +114,22 @@ def test_nightly_study_is_scheduled_and_dispatchable():
     assert "workflow_dispatch:" in text
     assert "python -m repro study" in text
     assert "--resume" in text  # crash-safe: journal-backed campaign
+
+
+def test_workflows_only_invoke_existing_commands_and_scripts():
+    # a workflow still calling a deleted subcommand or script would only
+    # fail on the runner; catch it here instead
+    (sub,) = (a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    commands, scripts = [], []
+    for path in all_yaml_files():
+        text = path.read_text()
+        commands += [(path.name, c) for c in REPRO_CMD.findall(text)]
+        scripts += [(path.name, s) for s in SCRIPT.findall(text)]
+    assert commands, "no `python -m repro` invocations found — wrong regex?"
+    for filename, command in commands:
+        assert command in sub.choices, (
+            f"{filename}: `python -m repro {command}` is not a subcommand"
+        )
+    for filename, script in scripts:
+        assert (REPO / script).is_file(), f"{filename}: {script} does not exist"

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import SCHEMES, build_parser, main
 from repro.htm.vm.base import available_schemes
 
@@ -194,6 +198,25 @@ def test_unknown_workload_rejected():
 def test_command_required():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _subcommands():
+    (sub,) = (a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_retired_bench_commands_are_unknown(capsys):
+    # host speed is measured by perfbench/, not by a CLI subcommand
+    assert not [c for c in _subcommands() if "bench" in c]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_module_docstring_lists_every_subcommand():
+    listed = re.findall(r"^\* ``([\w-]+)``", cli.__doc__, re.MULTILINE)
+    assert listed == _subcommands()
 
 
 def test_run_with_fault_plan_and_check(capsys):
