@@ -147,7 +147,9 @@ class HTMConfig:
     backoff_base: int = 32
     backoff_cap: int = 4096
     #: period with which a stalled requester re-issues its request when it
-    #: has not been woken explicitly (guards against missed wakeups).
+    #: has not been woken explicitly.  The poll notices what no wakeup
+    #: signals: a conflicter earlier in the scan order than the holder,
+    #: a suspended holder, and a wait-for cycle that has closed.
     stall_retry_period: int = 50
     #: threads start within a random window of this many cycles (models
     #: OS thread-launch skew; perfectly synchronized starts produce

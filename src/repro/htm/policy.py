@@ -377,6 +377,14 @@ class ConflictResolution(ABC):
 
     name: ClassVar[str] = "abstract"
 
+    #: re-resolving a conflict that has not changed has no side effect:
+    #: with no wait-for cycle closed, ``resolve`` just stalls the
+    #: requester on the same holder again, with the default period.  The
+    #: simulator may then answer a stall poll without rescanning or
+    #: re-resolving (DESIGN §11, "Stall re-polls").  False for policies
+    #: whose ``resolve`` counts retries or reads the holder's status.
+    repoll_is_pure: ClassVar[bool] = False
+
     @abstractmethod
     def resolve(
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object
@@ -393,6 +401,7 @@ class StallResolution(ConflictResolution):
     """
 
     name = "stall"
+    repoll_is_pure = True
 
     def resolve(
         self, sim: "Simulator", core: "_Core", holder_idx: int, op: object

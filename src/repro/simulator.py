@@ -338,6 +338,12 @@ class Simulator:
         }
         self.trace.labels.update(self.policy_axes)
         self._stall_period = self.config.htm.stall_retry_period
+        #: stalled cores whose next poll can skip the conflict scan and
+        #: ``resolve`` (DESIGN §11, "Stall re-polls"): core idx ->
+        #: (holder idx, probe mask, probe is a write)
+        self._armed: dict[int, tuple[int, int, bool]] = {}
+        self._stall_polls = 0
+        self._stall_repolls_skipped = 0
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
         self.faults = faults
@@ -430,6 +436,8 @@ class Simulator:
             kernel={
                 "events": executed,
                 "peak_queue": self.queue.peak_queue,
+                "stall_polls": self._stall_polls,
+                "stall_repolls_skipped": self._stall_repolls_skipped,
             }
         )
         phase["scheme"] = self.scheme.name
@@ -492,6 +500,7 @@ class Simulator:
     def _park(self, core: _Core, reason: str, to_front: bool = False) -> None:
         """Unmount the core's thread; its transactional state stays armed."""
         ctx = core.ctx
+        self._armed.clear()  # the scan's view of who is mounted changes
         ctx.park_start = self.queue.now
         ctx.park_reason = reason
         ctx.last_core = core.idx
@@ -524,6 +533,7 @@ class Simulator:
 
     def _mount(self, core: _Core, ctx: _ThreadCtx) -> None:
         switching = ctx.last_core != core.idx or ctx.park_reason is not None
+        self._armed.clear()  # the scan's view of who is mounted changes
         core.ctx = ctx
         ctx.last_core = core.idx
         ctx.slice_start = self.queue.now
@@ -708,7 +718,7 @@ class Simulator:
                 arb_holder = arb.blocking(core.idx)
                 if arb_holder is not None:
                     # no free commit slot: arbitration stall
-                    self._stall(core, arb_holder, ("commit", tx_value))
+                    self._stall_on(core, arb_holder, ("commit", tx_value))
                     return
                 arb.acquire(core.idx)
                 if not self.scheme.validate(core.idx, frame):
@@ -730,6 +740,8 @@ class Simulator:
                     return
                 self._doom_lazy_losers(core, frame)
                 frame.vm["publishing"] = True
+                if self._armed:
+                    self._disarm_covered(core.idx, frame)
             elif not self.scheme.validate(core.idx, frame):
                 core.doomed_depth = 0
                 self._begin_abort(core)
@@ -802,6 +814,8 @@ class Simulator:
             parent = core.frames[-1]
             parent.merge_child(frame)
             self.scheme.merge_nested(parent, frame)
+            if self._armed:
+                self._disarm_covered(core.idx, parent)
         core.status = RUNNING
         core.pending_send = tx_value if tx_value is not None else _SENTINEL_NONE
         self._resume_after(core, 0)
@@ -971,12 +985,14 @@ class Simulator:
             if self._has_snapshot and frame.mode == "snapshot":
                 self._snapshot_access(core, op, line, is_write, frame)
                 return
+            # a new line may make this frame hit a waiter's probe first
+            grew = self._armed and line not in (
+                frame.write_lines if is_write else frame.read_lines)
             if is_write:
                 frame.record_write(line)
                 extra, phys = scheme.pre_write(core.idx, frame, line)
-                # _speculative_for/_local_writes_for inlined (hot path):
-                # the per-frame hook is prebound, the constant fallback
-                # precomputed
+                # the per-frame hooks are prebound, the constant
+                # fallbacks precomputed (hot path)
                 per = self._spec_for_frame
                 spec = per(frame) if per is not None else self._spec_const
                 if frame.vm.pop("allocate_write", False):
@@ -1004,6 +1020,8 @@ class Simulator:
                     self.oracle.record_tx_read(frame, op.addr, value)
                 ctx.pending_send = value if value is not None else _SENTINEL_NONE
                 latency = result.latency + extra
+            if grew:
+                self._disarm_covered(core.idx, frame)
             frame.tentative_cycles += latency
             if frame.vm.get("must_abort"):
                 core.doomed_depth = 0
@@ -1081,25 +1099,6 @@ class Simulator:
         # start publishing they hold coherence permissions: accesses that
         # conflict with a publishing committer must stall
         return frame.mode != "lazy" or bool(frame.vm.get("publishing"))
-
-    def _speculative_for(self, frame: TxFrame) -> bool:
-        per_frame = self._spec_for_frame
-        if per_frame is not None:
-            return per_frame(frame)
-        return self._spec_const
-
-    def _local_writes_for(self, frame: TxFrame) -> bool:
-        per_frame = self._local_for_frame
-        if per_frame is not None:
-            return per_frame(frame)
-        return self._local_const
-
-    def _frames_conflict(
-        self, frames: list[TxFrame], line: int, is_write: bool
-    ) -> TxFrame | None:
-        return self._frames_conflict_mask(
-            frames, self._mask_of(line), is_write
-        )
 
     def _frames_conflict_mask(
         self, frames: list[TxFrame], mask: int, is_write: bool
@@ -1196,9 +1195,6 @@ class Simulator:
         # RUNNING / BACKOFF victims notice the doom at their next event
 
     # -- stalling ---------------------------------------------------------
-    def _stall(self, core: _Core, holder_idx: int, op: Any) -> None:
-        self._stall_on(core, holder_idx, op)
-
     def _stall_on(
         self, core: _Core, holder_idx: int, op: Any,
         period: int | None = None,
@@ -1226,6 +1222,14 @@ class Simulator:
                 {"holder": holder_idx},
             )
         holder.waiters.add(core.idx)
+        if (period is None and isinstance(op, (Read, Write))
+                and (self._resolution.repoll_is_pure or not core.ctx.frames)):
+            # ``holder`` is the first hit of the scan that just ran in
+            # _access, and re-resolving it would only stall again
+            self._armed[core.idx] = (
+                holder_idx, self._mask_of(op.addr >> LINE_SHIFT),
+                type(op) is Write,
+            )
         period = self._stall_period if period is None else period
         if self.faults is not None:
             period = self.faults.perturb_stall_retry(core.idx, period)
@@ -1234,6 +1238,7 @@ class Simulator:
         core.retry_event = self.queue.schedule(period, core.stall_retry_cb)
 
     def _unstall(self, core: _Core) -> None:
+        self._armed.pop(core.idx, None)
         core.charge("Stalled", self.queue.now - core.stall_start)
         if self.trace.events is not None:
             self.trace.emit(
@@ -1252,14 +1257,59 @@ class Simulator:
     def _stall_retry(self, core: _Core) -> None:
         if core.status != STALLED:
             return
-        self._unstall(core)
-        self._retry_pending(core)
+        self._stall_polls += 1
+        armed = self._armed.get(core.idx)
+        if armed is None or self._wait_cycle(core.idx, armed[0]) is not None:
+            # the full poll: unstall, re-issue the access, rescan
+            self._unstall(core)
+            self._retry_pending(core)
+            return
+        # nothing the full poll reads has changed: it would find the
+        # same holder and stall on it again, so replay exactly its
+        # observable effects without the scan and the resolve
+        self._stall_repolls_skipped += 1
+        now = self.queue.now
+        core.charge("Stalled", now - core.stall_start)
+        if self.trace.events is not None:
+            tid = core.ctx.tid
+            self.trace.emit(now, TX_UNSTALL, core.idx, tid,
+                            {"waited": now - core.stall_start})
+            self.trace.emit(now, TX_STALL, core.idx, tid,
+                            {"holder": armed[0]})
+        core.stall_start = now
+        period = self._stall_period
+        if self.faults is not None:
+            period = self.faults.perturb_stall_retry(core.idx, period)
+        core.retry_event = self.queue.schedule(period, core.stall_retry_cb)
+
+    def _disarm_covered(self, j: int, frame: TxFrame) -> None:
+        """Disarm the stalled cores whose next scan would now hit
+        ``frame`` of core ``j`` before reaching their holder.
+
+        Called wherever a frame's visible coverage can grow: a new line,
+        a nested merge, a lazy frame starting to publish.  The scan
+        visits cores in index order and stops at the first hit, so only
+        waiters whose holder comes after ``j`` can change outcome.
+        """
+        if frame.mode == "lazy" and not frame.vm.get("publishing"):
+            return  # invisible to the scan
+        w = frame.write_sig._word
+        r = frame.read_sig._word
+        armed = self._armed
+        hit = [
+            idx for idx, (holder, mask, is_write) in armed.items()
+            if j < holder and (
+                w & mask == mask or (is_write and r & mask == mask))
+        ]
+        for idx in hit:
+            del armed[idx]
 
     def _wake_waiters(self, core: _Core) -> None:
         for waiter_idx in sorted(core.waiters):
             waiter = self.cores[waiter_idx]
             if waiter.status != STALLED or waiter.waiting_on != core.idx:
                 continue
+            self._armed.pop(waiter_idx, None)
             waiter.charge("Stalled", self.queue.now - waiter.stall_start)
             if self.trace.events is not None:
                 self.trace.emit(

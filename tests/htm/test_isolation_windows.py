@@ -157,3 +157,17 @@ def test_isolation_accounting_is_pinned(
     ))
     assert (res.total_cycles, res.commits, res.aborts) == (cycles, commits, aborts)
     assert res.phase_breakdown["isolation"] == isolation
+
+
+def test_stall_poll_counters_are_pinned():
+    # bayes under logtm-se is stall-heavy: most polls find the same
+    # holder and take the cheap path (DESIGN §11, "Stall re-polls").
+    # The digests cannot see which path a poll took, so a change that
+    # silently stops the cheap path from firing fails here instead.
+    res = execute_spec(ExperimentSpec(
+        workload="bayes", scheme="logtm-se", scale="tiny", seed=3, cores=4
+    ))
+    assert res.phase_breakdown["kernel"] == {
+        "events": 3616, "peak_queue": 4,
+        "stall_polls": 1985, "stall_repolls_skipped": 1965,
+    }
