@@ -119,26 +119,12 @@ class TxFrame:
         self.attempt += 1
 
     # conflict membership tests ----------------------------------------
-    # the value-based variants fetch the H3 mask once per *line* and
-    # reuse it across both signatures (they share one hash family);
-    # calling BloomSignature.test(value) per signature would pay the
-    # memo lookup per probed signature instead
-    def may_read_conflict(self, line: int) -> bool:
-        """Would a remote *write* to ``line`` conflict with this frame?"""
-        mask = self.read_sig.line_mask(line)
-        return (self.read_sig.test_mask(mask)
-                or self.write_sig.test_mask(mask))
-
-    def may_write_conflict(self, line: int) -> bool:
-        """Would a remote *read* of ``line`` conflict with this frame?"""
-        return self.write_sig.test_mask(self.write_sig.line_mask(line))
-
-    # mask variants: the conflict scan probes one line against many
-    # frames; the caller computes ``sig.line_mask(line)`` once and
-    # reuses it.  Both signatures share the same hash family (one
-    # silicon matrix), so one mask serves both — but each signature is
-    # tested separately: OR-ing the filter words first would merge bit
-    # sets and manufacture false positives.
+    # the conflict scan probes one line against many frames; the caller
+    # computes ``sig.line_mask(line)`` once and reuses it.  Both
+    # signatures share the same hash family (one silicon matrix), so one
+    # mask serves both — but each signature is tested separately: OR-ing
+    # the filter words first would merge bit sets and manufacture false
+    # positives.
     def may_read_conflict_mask(self, mask: int) -> bool:
         return (self.read_sig.test_mask(mask)
                 or self.write_sig.test_mask(mask))

@@ -21,7 +21,16 @@ semantics allow:
   events awaiting pop are queue garbage, not queue pressure;
 * cancelled events are compacted lazily: when more than half the heap
   is dead weight the heap is rebuilt, keeping pop cost bounded without
-  paying O(n) removal on every cancel.
+  paying O(n) removal on every cancel;
+* a **repeating** event (:meth:`Event.repeat`) stands for a callback
+  whose only effect is to reschedule itself every ``period`` cycles
+  (an armed stall poll).  When popped, the loop counts it as executed,
+  sets ``now``, takes the next ``seq`` and re-pushes the same event at
+  ``now + period`` — exactly the key the callback's own ``schedule``
+  would have taken — without calling it.  The live count and
+  :attr:`peak_queue` do not move, just as for a callback that
+  reschedules itself.  Clearing the flag (:meth:`Event.stop_repeating`)
+  makes the next pop call ``fn`` at the unchanged ``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -32,10 +41,12 @@ from typing import Callable
 
 from repro.errors import BudgetExhausted
 
-# Event lifecycle states (ints, not an enum: this is the hot path)
+# Event lifecycle states (ints, not an enum: this is the hot path);
+# the live states sort below _DONE
 _PENDING = 0
-_DONE = 1
-_CANCELLED = 2
+_REPEATING = 1
+_DONE = 2
+_CANCELLED = 3
 
 #: rebuild the heap once it holds this many cancelled entries *and*
 #: they outnumber the live ones (amortized O(1) per cancel)
@@ -45,7 +56,7 @@ _COMPACT_MIN = 64
 class Event:
     """A scheduled callback.  Ordering key is ``(time, seq)``."""
 
-    __slots__ = ("time", "seq", "fn", "_state", "_queue")
+    __slots__ = ("time", "seq", "fn", "_state", "_queue", "period")
 
     def __init__(self, time: int, seq: int, fn: Callable[[], None],
                  queue: "EventQueue | None" = None) -> None:
@@ -59,9 +70,28 @@ class Event:
     def cancelled(self) -> bool:
         return self._state == _CANCELLED
 
+    @property
+    def repeating(self) -> bool:
+        return self._state == _REPEATING
+
+    def repeat(self, period: int) -> None:
+        """Re-push this pending event every ``period`` cycles instead of
+        calling ``fn`` (see the module docstring)."""
+        if period < 0:
+            raise ValueError(f"negative repeat period {period}")
+        if self._state > _REPEATING:
+            raise ValueError("only a pending event can repeat")
+        self.period = period
+        self._state = _REPEATING
+
+    def stop_repeating(self) -> None:
+        """Make the next pop call ``fn`` again, at the current key."""
+        if self._state == _REPEATING:
+            self._state = _PENDING
+
     def cancel(self) -> None:
         """Mark the event dead; it will be skipped when popped."""
-        if self._state != _PENDING:
+        if self._state > _REPEATING:
             return
         self._state = _CANCELLED
         q = self._queue
@@ -85,6 +115,8 @@ class EventQueue:
         self._live = 0
         self._dead = 0
         self.now = 0
+        #: pops of repeating events (executed, but no callback ran)
+        self.repeats = 0
         #: most *live* events ever outstanding at once — a queue-pressure
         #: gauge surfaced on ``SimResult.phase_breakdown["kernel"]``
         self.peak_queue = 0
@@ -138,7 +170,7 @@ class EventQueue:
         # both lists, so rebinding self._heap/self._zero here would
         # silently detach them
         self._heap[:] = [
-            item for item in self._heap if item[2]._state == _PENDING
+            item for item in self._heap if item[2]._state <= _REPEATING
         ]
         heapq.heapify(self._heap)
         start = self._zero_head
@@ -146,7 +178,7 @@ class EventQueue:
             del self._zero[:start]
             self._zero_head = 0
         self._zero[:] = [
-            item for item in self._zero if item[2]._state == _PENDING
+            item for item in self._zero if item[2]._state <= _REPEATING
         ]
         self._dead = 0
 
@@ -174,7 +206,7 @@ class EventQueue:
                 ev = heappop(heap)[2]
             else:
                 return None
-            if ev._state == _PENDING:
+            if ev._state <= _REPEATING:
                 return ev
             # cancelled entry finally popped: no longer dead weight
             self._dead -= 1
@@ -187,13 +219,13 @@ class EventQueue:
             zi = self._zero_head
             if zi < len(zero) and (not heap or heap[0] > zero[zi]):
                 ev = zero[zi][2]
-                if ev._state == _PENDING:
+                if ev._state <= _REPEATING:
                     return ev
                 self._zero_head = zi + 1
                 self._dead -= 1
             elif heap:
                 ev = heap[0][2]
-                if ev._state == _PENDING:
+                if ev._state <= _REPEATING:
                     return ev
                 heappop(heap)
                 self._dead -= 1
@@ -201,15 +233,27 @@ class EventQueue:
                 return None
 
     # ------------------------------------------------------------------
+    def _execute(self, ev: Event) -> None:
+        """Run a popped live event, or re-push a repeating one."""
+        now = self.now = ev.time
+        if ev._state == _REPEATING:
+            seq = self._seq
+            self._seq = seq + 1
+            ev.seq = seq
+            ev.time = now = now + ev.period
+            heappush(self._heap, (now, seq, ev))
+            self.repeats += 1
+            return
+        ev._state = _DONE
+        self._live -= 1
+        ev.fn()
+
     def step(self) -> bool:
         """Run the next live event; returns False when the queue is empty."""
         ev = self._pop_next()
         if ev is None:
             return False
-        ev._state = _DONE
-        self._live -= 1
-        self.now = ev.time
-        ev.fn()
+        self._execute(ev)
         return True
 
     def run(self, max_events: int | None = None, max_time: int | None = None) -> int:
@@ -235,28 +279,39 @@ class EventQueue:
                         f"event budget exhausted ({max_events} events)",
                         cycle=self.now, events=executed,
                     )
-                # _pop_next inlined: this loop is the innermost loop of
-                # the whole simulator (see the module docstring)
-                while True:
-                    zi = self._zero_head
-                    if zi < len(zero) and (not heap or heap[0] > zero[zi]):
-                        ev = zero[zi][2]
-                        self._zero_head = zi + 1
-                        if self._zero_head >= len(zero):
-                            del zero[:]
-                            self._zero_head = 0
-                    elif heap:
-                        ev = heappop(heap)[2]
-                    else:
-                        return executed
-                    if ev._state == _PENDING:
-                        break
+                # _pop_next and _execute inlined: this loop is the
+                # innermost loop of the whole simulator (see the module
+                # docstring)
+                zi = self._zero_head
+                if zi < len(zero) and (not heap or heap[0] > zero[zi]):
+                    ev = zero[zi][2]
+                    self._zero_head = zi + 1
+                    if self._zero_head >= len(zero):
+                        del zero[:]
+                        self._zero_head = 0
+                elif heap:
+                    ev = heappop(heap)[2]
+                else:
+                    return executed
+                state = ev._state
+                if state == _PENDING:
+                    ev._state = _DONE
+                    self._live -= 1
+                    self.now = ev.time
+                    ev.fn()
+                    executed += 1
+                elif state == _REPEATING:
+                    self.now = now = ev.time
+                    seq = self._seq
+                    self._seq = seq + 1
+                    ev.seq = seq
+                    ev.time = now = now + ev.period
+                    heappush(heap, (now, seq, ev))
+                    self.repeats += 1
+                    executed += 1
+                else:
+                    # cancelled entry finally popped
                     self._dead -= 1
-                ev._state = _DONE
-                self._live -= 1
-                self.now = ev.time
-                ev.fn()
-                executed += 1
         while True:
             nxt = self._peek_next()
             if nxt is None:
@@ -273,8 +328,5 @@ class EventQueue:
                 )
             ev = self._pop_next()
             assert ev is nxt
-            ev._state = _DONE
-            self._live -= 1
-            self.now = ev.time
-            ev.fn()
+            self._execute(ev)
             executed += 1

@@ -347,6 +347,10 @@ class Simulator:
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
         self.faults = faults
+        #: armed polls run in the kernel as repeating events unless a
+        #: poll has a per-poll effect: fault jitter draws a new period
+        #: and trace recording emits a ``tx_unstall``/``tx_stall`` pair
+        self._kernel_polls = faults is None and self.trace.events is None
         if oracle is True:
             oracle = OracleRecorder()
         self.oracle: OracleRecorder | None = oracle or None
@@ -436,8 +440,9 @@ class Simulator:
             kernel={
                 "events": executed,
                 "peak_queue": self.queue.peak_queue,
-                "stall_polls": self._stall_polls,
-                "stall_repolls_skipped": self._stall_repolls_skipped,
+                "stall_polls": self._stall_polls + self.queue.repeats,
+                "stall_repolls_skipped": (
+                    self._stall_repolls_skipped + self.queue.repeats),
             }
         )
         phase["scheme"] = self.scheme.name
@@ -500,7 +505,9 @@ class Simulator:
     def _park(self, core: _Core, reason: str, to_front: bool = False) -> None:
         """Unmount the core's thread; its transactional state stays armed."""
         ctx = core.ctx
-        self._armed.clear()  # the scan's view of who is mounted changes
+        # the scan's view of who is mounted changes
+        for idx in list(self._armed):
+            self._disarm(idx)
         ctx.park_start = self.queue.now
         ctx.park_reason = reason
         ctx.last_core = core.idx
@@ -533,7 +540,9 @@ class Simulator:
 
     def _mount(self, core: _Core, ctx: _ThreadCtx) -> None:
         switching = ctx.last_core != core.idx or ctx.park_reason is not None
-        self._armed.clear()  # the scan's view of who is mounted changes
+        # the scan's view of who is mounted changes
+        for idx in list(self._armed):
+            self._disarm(idx)
         core.ctx = ctx
         ctx.last_core = core.idx
         ctx.slice_start = self.queue.now
@@ -1222,7 +1231,13 @@ class Simulator:
                 {"holder": holder_idx},
             )
         holder.waiters.add(core.idx)
-        if (period is None and isinstance(op, (Read, Write))
+        cycle = self._wait_cycle(core.idx, holder_idx)
+        if cycle is not None:
+            # the only place a wait-for cycle can close: its members'
+            # next polls must re-resolve it
+            for idx in cycle:
+                self._disarm(idx)
+        elif (period is None and isinstance(op, (Read, Write))
                 and (self._resolution.repoll_is_pure or not core.ctx.frames)):
             # ``holder`` is the first hit of the scan that just ran in
             # _access, and re-resolving it would only stall again
@@ -1236,9 +1251,11 @@ class Simulator:
         # NOT schedule_fast: the retry event must stay cancellable (the
         # stall path cancels it when the blocker clears early)
         core.retry_event = self.queue.schedule(period, core.stall_retry_cb)
+        if self._kernel_polls and core.idx in self._armed:
+            core.retry_event.repeat(period)
 
     def _unstall(self, core: _Core) -> None:
-        self._armed.pop(core.idx, None)
+        self._disarm(core.idx)
         core.charge("Stalled", self.queue.now - core.stall_start)
         if self.trace.events is not None:
             self.trace.emit(
@@ -1259,14 +1276,16 @@ class Simulator:
             return
         self._stall_polls += 1
         armed = self._armed.get(core.idx)
-        if armed is None or self._wait_cycle(core.idx, armed[0]) is not None:
+        if armed is None:
             # the full poll: unstall, re-issue the access, rescan
             self._unstall(core)
             self._retry_pending(core)
             return
         # nothing the full poll reads has changed: it would find the
         # same holder and stall on it again, so replay exactly its
-        # observable effects without the scan and the resolve
+        # observable effects without the scan and the resolve (runs
+        # without per-poll effects never get here: the kernel re-pushes
+        # their armed polls)
         self._stall_repolls_skipped += 1
         now = self.queue.now
         core.charge("Stalled", now - core.stall_start)
@@ -1302,14 +1321,21 @@ class Simulator:
                 w & mask == mask or (is_write and r & mask == mask))
         ]
         for idx in hit:
-            del armed[idx]
+            self._disarm(idx)
+
+    def _disarm(self, idx: int) -> None:
+        """Send core ``idx``'s next stall poll down the full path."""
+        if self._armed.pop(idx, None) is not None:
+            event = self.cores[idx].retry_event
+            if event is not None:
+                event.stop_repeating()
 
     def _wake_waiters(self, core: _Core) -> None:
         for waiter_idx in sorted(core.waiters):
             waiter = self.cores[waiter_idx]
             if waiter.status != STALLED or waiter.waiting_on != core.idx:
                 continue
-            self._armed.pop(waiter_idx, None)
+            self._disarm(waiter_idx)
             waiter.charge("Stalled", self.queue.now - waiter.stall_start)
             if self.trace.events is not None:
                 self.trace.emit(

@@ -3,17 +3,22 @@
 A stalled core re-polls its request every ``stall_retry_period``
 cycles.  The simulator answers a poll without rescanning or
 re-resolving when nothing the full poll reads has changed (DESIGN §11,
-"Stall re-polls").  :class:`LiteralPollSimulator` keeps the literal
-poll — unstall, re-issue the access, rescan, re-resolve — and every run
-here must produce the same ``SimResult`` and the same trace event
-stream under both, with the atomicity oracle armed.
+"Stall re-polls"): in Python when the run records trace events or
+injects faults, otherwise in the event kernel, which re-pushes the
+armed poll event without calling it.  :class:`LiteralPollSimulator`
+keeps the literal poll — unstall, re-issue the access, rescan,
+re-resolve — and every run here must produce the same ``SimResult``
+(and, when traced, the same trace event stream) under both, with the
+atomicity oracle armed.
 """
 
 import pytest
 
 from repro.config import LINE_SHIFT, HTMConfig, SignatureConfig, SimConfig
 from repro.faults import parse_plan
+from repro.errors import BudgetExhausted
 from repro.htm.ops import Read, Tx, Work, Write
+from repro.htm.policy import ConflictResolution
 from repro.runner import ExperimentSpec
 from repro.signatures.hashes import H3HashFamily
 from repro.simulator import STALLED, Simulator
@@ -35,6 +40,12 @@ CASES = [(w, s, "") for w in WORKLOADS for s in SCHEMES] + [
     (w, s, "jitter") for w in WORKLOADS
     for s in ("logtm-se", "dyntm+suv", "undo+eager+polite+serial")
 ]
+#: untraced and fault-free, so armed polls run in the kernel
+KERNEL_CASES = [
+    (w, s) for w in WORKLOADS for s in ("logtm-se", "suv", "dyntm+suv")
+]
+MULTIPLEXED = ExperimentSpec(
+    "bayes", scheme="logtm-se", scale="tiny", seed=5, cores=4, threads=7)
 
 
 class LiteralPollSimulator(Simulator):
@@ -47,9 +58,10 @@ class LiteralPollSimulator(Simulator):
         self._retry_pending(core)
 
 
-def _run(sim_cls, config, scheme, build, seed=3, fault_plan=""):
+def _run(sim_cls, config, scheme, build, seed=3, fault_plan="",
+         traced=True):
     threads, verify = build()
-    tracer = Tracer(events=True, capacity=10**7)
+    tracer = Tracer(events=traced, capacity=10**7)
     sim = sim_cls(
         config, scheme=scheme, seed=seed, faults=parse_plan(fault_plan),
         oracle=True, trace=tracer,
@@ -60,8 +72,9 @@ def _run(sim_cls, config, scheme, build, seed=3, fault_plan=""):
         verify(result.memory)
     kernel = result.phase_breakdown["kernel"]
     polls = {name: kernel.pop(name, None) for name in POLL_COUNTERS}
+    polls["kernel_repeats"] = sim.queue.repeats
     assert tracer.dropped == 0
-    return result, list(tracer.events), polls
+    return result, list(tracer.events or ()), polls
 
 
 def _compare(config, scheme, build, **kw):
@@ -72,10 +85,12 @@ def _compare(config, scheme, build, **kw):
     assert result.to_json() == literal.to_json()
     assert trace == literal_trace
     assert 0 <= polls["stall_repolls_skipped"] <= polls["stall_polls"]
+    if kw.get("traced", True) or kw.get("fault_plan"):
+        assert polls["kernel_repeats"] == 0
     return literal, literal_trace, polls
 
 
-def _compare_spec(spec):
+def _compare_spec(spec, traced=True):
     config = spec.build_config()
 
     def build():
@@ -86,7 +101,7 @@ def _compare_spec(spec):
         return program.threads, program.verify
 
     return _compare(config, spec.scheme, build, seed=spec.seed,
-                    fault_plan=spec.fault_plan)
+                    fault_plan=spec.fault_plan, traced=traced)
 
 
 def _holders(trace, core):
@@ -106,12 +121,23 @@ def test_cheap_polls_match_literal_polls(workload, scheme, fault_plan):
         assert polls["stall_repolls_skipped"] > 0
 
 
-def test_cheap_polls_match_literal_polls_multiplexed():
+@pytest.mark.parametrize("workload,scheme", KERNEL_CASES)
+def test_kernel_polls_match_literal_polls(workload, scheme):
     _, _, polls = _compare_spec(ExperimentSpec(
-        "bayes", scheme="logtm-se", scale="tiny", seed=5, cores=4,
-        threads=7,
-    ))
+        workload, scheme=scheme, scale="tiny", seed=3, cores=8,
+    ), traced=False)
+    if scheme == "logtm-se":
+        assert polls["kernel_repeats"] > 0
+
+
+def test_cheap_polls_match_literal_polls_multiplexed():
+    _, _, polls = _compare_spec(MULTIPLEXED)
     assert polls["stall_repolls_skipped"] > 0
+
+
+def test_kernel_polls_match_literal_polls_multiplexed():
+    _, _, polls = _compare_spec(MULTIPLEXED, traced=False)
+    assert polls["kernel_repeats"] > 0
 
 
 # -- one hand-built case per disarm rule ------------------------------------
@@ -223,3 +249,47 @@ def test_a_lazy_frame_publishing_ahead_of_the_holder_disarms():
         lambda: ([publisher, holder, waiter], None))
     assert _holders(trace, 2)[0] == 1 and 0 in _holders(trace, 2)
     assert polls["stall_repolls_skipped"] > 0
+
+
+class _UncheckedStall(ConflictResolution):
+    """Stalls on every conflict without looking for a wait-for cycle,
+    so the requester's new edge can close one in ``_stall_on``."""
+
+    name = "unchecked_stall"
+    repoll_is_pure = True
+
+    def resolve(self, sim, core, holder_idx, op):
+        sim._stall_on(core, holder_idx, op)
+
+
+def test_a_wait_for_cycle_closing_in_stall_on_disarms_its_members():
+    # core 0 stalls on core 1 and is armed; core 1 then stalls on core
+    # 0, closing the cycle 0 -> 1 -> 0: both must poll in full from
+    # then on, since only a full poll can resolve a cycle
+    x, y = 0x1000, 0x2000
+
+    def first():
+        def body():
+            yield Write(x, 1)
+            yield Work(100)
+            yield Read(y)
+        yield Tx(body)
+
+    def second():
+        def body():
+            yield Write(y, 1)
+            yield Work(1000)
+            yield Read(x)
+        yield Tx(body)
+
+    sim = Simulator(SimConfig(n_cores=2), scheme="logtm-se")
+    sim._resolution = _UncheckedStall()
+    with pytest.raises(BudgetExhausted):
+        sim.run([first, second], max_events=200)
+    assert [c.waiting_on for c in sim.cores] == [1, 0]
+    # core 0 polled in the kernel until the cycle closed ...
+    assert sim.queue.repeats > 0
+    # ... and neither core is armed or repeating afterwards
+    assert sim._armed == {}
+    assert not any(c.retry_event.repeating for c in sim.cores)
+    assert sim._stall_polls > 0

@@ -207,3 +207,153 @@ def test_schedule_fast_rejects_negative_delay():
     q = EventQueue()
     with pytest.raises(ValueError):
         q.schedule_fast(-1, lambda: None)
+
+
+# -- repeating events -------------------------------------------------------
+# A repeating event must be indistinguishable from a callback whose only
+# effect is ``schedule(period, itself)``: same executed order, same
+# (time, seq) keys, same executed count, same live count and peak.
+
+
+def _poll_scenario(q, repeat, period, first, events, stop, unrepeat_at):
+    """Schedule a self-rescheduling poll among ordinary events.
+
+    Each ordinary event logs the poll's current ``(time, seq)`` key, so
+    any tie broken differently from the literal chain shows up in the
+    log.  Some ordinary events schedule a follow-up when they run, i.e.
+    after the poll's re-push has taken its ``seq``.
+    """
+    log = []
+    cur = []
+
+    def poll():
+        cur[0] = q.schedule(period, poll)
+
+    def note(tag):
+        log.append((q.now, tag, cur[0].time, cur[0].seq))
+
+    cur.append(q.schedule(first, poll))
+    if repeat:
+        cur[0].repeat(period)
+    for i, (delay, follow) in enumerate(events):
+        def fire(i=i, follow=follow):
+            note(i)
+            if follow is not None:
+                q.schedule(follow, lambda: note(-1 - i))
+        q.schedule(delay, fire)
+    if unrepeat_at is not None:
+        q.schedule(unrepeat_at, lambda: cur[0].stop_repeating())
+    q.schedule(stop, lambda: cur[0].cancel())
+    return log
+
+
+def _drive(q, loop, limit):
+    """Run ``q`` under one of the loops; the outcome, budget included."""
+    try:
+        if loop == "run":
+            # a hang guard, not a budget under test: an event that kept
+            # repeating after its cancel would never drain
+            return q.run(max_events=10_000)
+        if loop == "max_events":
+            return q.run(max_events=limit)
+        if loop == "max_time":
+            return q.run(max_time=limit)
+        steps = 0
+        while steps < limit and q.step():
+            steps += 1
+        return steps
+    except BudgetExhausted as exc:
+        return ("exhausted", str(exc), exc.context.get("events"))
+
+
+@given(
+    period=st.integers(min_value=1, max_value=5),
+    first=st.integers(min_value=1, max_value=5),
+    events=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=25),
+                  st.none() | st.integers(min_value=0, max_value=6)),
+        max_size=12),
+    stop=st.integers(min_value=1, max_value=40),
+    unrepeat_at=st.none() | st.integers(min_value=0, max_value=30),
+    loop=st.sampled_from(["run", "max_events", "max_time", "step"]),
+    limit=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_repeating_event_matches_a_self_rescheduling_callback(
+        period, first, events, stop, unrepeat_at, loop, limit):
+    outcomes = []
+    for repeat in (False, True):
+        q = EventQueue()
+        log = _poll_scenario(q, repeat, period, first, events, stop,
+                             unrepeat_at)
+        outcome = _drive(q, loop, limit)
+        outcomes.append((log, outcome, q.now, len(q), q.peak_queue))
+        if not repeat:
+            assert q.repeats == 0
+    assert outcomes[0] == outcomes[1]
+
+
+def test_zero_period_repeat_matches_a_zero_delay_callback():
+    # the literal reschedule goes through the zero-delay FIFO, the
+    # repeat through the heap; keys order them identically
+    outcomes = []
+    for repeat in (False, True):
+        q = EventQueue()
+        log = _poll_scenario(q, repeat, 0, 2, [(2, 0), (2, None), (3, 1)],
+                             9, None)
+        outcomes.append((log, _drive(q, "max_events", 40), q.now))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_repeating_event_runs_no_callback_and_counts_as_executed():
+    q = EventQueue()
+    calls = []
+    ev = q.schedule(10, lambda: calls.append(q.now))
+    ev.repeat(10)
+    q.schedule(45, ev.cancel)
+    assert q.run(max_events=100) == 5  # pops at 10, 20, 30, 40, then the cancel
+    assert (calls, q.repeats, len(q), q.now) == ([], 4, 0, 45)
+
+
+def test_cancelling_a_repeating_event_drains_the_queue():
+    q = EventQueue()
+    ev = q.schedule(3, lambda: None)
+    ev.repeat(3)
+    assert ev.repeating and len(q) == 1
+    ev.cancel()
+    assert ev.cancelled and not ev.repeating and len(q) == 0
+    assert q.run(max_events=100) == 0
+
+
+def test_stop_repeating_runs_fn_at_the_current_key():
+    q = EventQueue()
+    seen = []
+    ev = q.schedule(4, lambda: seen.append((q.now, ev.seq)))
+    ev.repeat(4)
+    q.schedule(9, ev.stop_repeating)  # after the repeats at 4 and 8
+    assert q.run(max_events=100) == 4
+    # the third pop runs fn with the key the repeat at 8 gave it
+    assert seen == [(12, 3)] and q.repeats == 2
+
+
+def test_compaction_keeps_a_pending_repeat():
+    q = EventQueue()
+    ev = q.schedule(5, lambda: None)
+    ev.repeat(5)
+    doomed = [q.schedule(7, lambda: None) for _ in range(100)]
+    for d in doomed:
+        d.cancel()  # triggers compaction once cancellations dominate
+    assert len(q._heap) < 101  # compacted
+    assert ev.repeating and any(item[2] is ev for item in q._heap)
+    q.schedule(23, ev.cancel)
+    assert q.run(max_events=100) == 5 and q.repeats == 4
+
+
+def test_repeat_rejects_bad_periods_and_finished_events():
+    q = EventQueue()
+    ev = q.schedule(1, lambda: None)
+    with pytest.raises(ValueError):
+        ev.repeat(-1)
+    q.run()
+    with pytest.raises(ValueError):
+        ev.repeat(3)
