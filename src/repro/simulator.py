@@ -41,6 +41,7 @@ from repro.config import LINE_SHIFT, SimConfig
 from repro.errors import DeadlockError, InvariantViolation, TransactionError
 from repro.faults import FaultInjector, FaultPlan
 from repro.htm.backoff import BackoffPolicy
+from repro.htm.conflicts import ConflictCover, visible
 from repro.htm.ops import Barrier, OpenTx, Read, Tx, Work, Write
 from repro.htm.policy import (
     CommitArbitration,
@@ -338,10 +339,15 @@ class Simulator:
         }
         self.trace.labels.update(self.policy_axes)
         self._stall_period = self.config.htm.stall_retry_period
+        #: the visible-signature state: per-context cover words for the
+        #: scan's prefilter and the armed stall polls (DESIGN §11)
+        self._cover = ConflictCover()
         #: stalled cores whose next poll can skip the conflict scan and
-        #: ``resolve`` (DESIGN §11, "Stall re-polls"): core idx ->
-        #: (holder idx, probe mask, probe is a write)
-        self._armed: dict[int, tuple[int, int, bool]] = {}
+        #: ``resolve`` (DESIGN §11, "Stall re-polls"); owned by _cover
+        self._armed = self._cover.armed
+        #: the probe mask of the access whose scan just hit, for the
+        #: armed entry ``_stall_on`` makes when the requester stalls
+        self._probe_mask = 0
         self._stall_polls = 0
         self._stall_repolls_skipped = 0
         if faults is not None and not isinstance(faults, FaultInjector):
@@ -391,6 +397,7 @@ class Simulator:
             c.retry_cb = (lambda core=c: self._retry_pending(core))
             c.stall_retry_cb = (lambda core=c: self._stall_retry(core))
         self._ctxs = []
+        self._cover.reset(len(threads))
         for tid, factory in enumerate(threads):
             ctx = _ThreadCtx(tid=tid)
             ctx.gen_stack.append(factory())
@@ -749,6 +756,7 @@ class Simulator:
                     return
                 self._doom_lazy_losers(core, frame)
                 frame.vm["publishing"] = True
+                self._cover.publish(core.ctx.tid, frame)
                 if self._armed:
                     self._disarm_covered(core.idx, frame)
             elif not self.scheme.validate(core.idx, frame):
@@ -770,6 +778,9 @@ class Simulator:
         frame = core.frames.pop()
         core.gen_stack.pop()
         self._arbitration.release(core.idx)
+        if frame.depth == 0 or frame.open_nested:
+            # the frame's signatures leave the scan
+            self._cover.rebuild(core.ctx.tid, core.frames)
         if frame.depth == 0:
             # the isolation window closes here: signatures disarm only
             # once commit processing (repair/merge/bit-flip) finished.
@@ -883,6 +894,7 @@ class Simulator:
         del core.gen_stack[depth + 2:]
         core.gen_stack.pop()  # the aborted level's own generator
         retry_frame.reset_for_retry(self.queue.now)
+        self._cover.rebuild(core.ctx.tid, core.frames)
         core.consecutive_aborts += 1
         if self.oracle is not None:
             self.oracle.note_abort(core.idx, depth)
@@ -946,12 +958,13 @@ class Simulator:
         line = op.addr >> LINE_SHIFT
         is_write = type(op) is Write
         frames = core.ctx.frames
-        # _frame_visible(frames[-1]) inlined (per-access hot path);
         # lazy frames are invisible until publication, snapshot frames
-        # are wait-free — neither joins the conflict scan
+        # are wait-free — neither joins the conflict scan.  The probe's
+        # mask serves the scan, the cover add and an armed stall.
         if (not frames or frames[-1].mode == "eager"
                 or frames[-1].vm.get("publishing")):
-            conflict = self._find_conflict(core, line, is_write)
+            mask = self._mask_of(line)
+            conflict = self._find_conflict(core, line, is_write, mask=mask)
             if conflict is not None:
                 kind = conflict[0]
                 if kind == "suspended":
@@ -975,6 +988,7 @@ class Simulator:
                     else:  # pragma: no cover — cannot happen off-multiplex
                         self._resume_retry(core, self.config.htm.stall_retry_period)
                     return
+                self._probe_mask = mask
                 if core.in_tx:
                     self._resolve_conflict(core, conflict[1], op)
                 else:
@@ -982,11 +996,16 @@ class Simulator:
                     # out the conflicting transaction (it cannot deadlock)
                     self._stall_on(core, conflict[1], op)
                 return
-        self._perform_access(core, op, line, is_write)
+        else:
+            mask = 0
+        self._perform_access(core, op, line, is_write, mask)
 
     def _perform_access(
-        self, core: _Core, op: Read | Write, line: int, is_write: bool
+        self, core: _Core, op: Read | Write, line: int, is_write: bool,
+        mask: int,
     ) -> None:
+        """Perform a conflict-free access; ``mask`` is the probed line's
+        H3 mask when the access joined the scan, else 0."""
         scheme = self.scheme
         ctx = core.ctx
         if ctx.frames:
@@ -994,8 +1013,9 @@ class Simulator:
             if self._has_snapshot and frame.mode == "snapshot":
                 self._snapshot_access(core, op, line, is_write, frame)
                 return
-            # a new line may make this frame hit a waiter's probe first
-            grew = self._armed and line not in (
+            # a line new to a visible frame joins its context's cover
+            # words, and may make the frame hit a waiter's probe first
+            grew = mask and line not in (
                 frame.write_lines if is_write else frame.read_lines)
             if is_write:
                 frame.record_write(line)
@@ -1030,7 +1050,9 @@ class Simulator:
                 ctx.pending_send = value if value is not None else _SENTINEL_NONE
                 latency = result.latency + extra
             if grew:
-                self._disarm_covered(core.idx, frame)
+                self._cover.add(ctx.tid, mask, is_write)
+                if self._armed:
+                    self._disarm_covered(core.idx, frame)
             frame.tentative_cycles += latency
             if frame.vm.get("must_abort"):
                 core.doomed_depth = 0
@@ -1103,35 +1125,23 @@ class Simulator:
         return self.memory.load(addr)
 
     # -- conflicts -------------------------------------------------------
-    def _frame_visible(self, frame: TxFrame) -> bool:
-        # lazy transactions are invisible while executing, but once they
-        # start publishing they hold coherence permissions: accesses that
-        # conflict with a publishing committer must stall
-        return frame.mode != "lazy" or bool(frame.vm.get("publishing"))
-
-    def _frames_conflict_mask(
-        self, frames: list[TxFrame], mask: int, is_write: bool
-    ) -> TxFrame | None:
-        for frame in frames:
-            if not self._frame_visible(frame):
-                continue
-            if is_write:
-                if frame.may_read_conflict_mask(mask):
-                    return frame
-            elif frame.may_write_conflict_mask(mask):
-                return frame
-        return None
-
     def _find_conflict(
-        self, core: _Core, line: int, is_write: bool
+        self, core: _Core, line: int, is_write: bool, *, mask: int
     ) -> tuple[str, Any] | None:
-        """The first conflicting holder: ("core", idx) or ("suspended", ctx)."""
-        # one H3 mask for the probed line serves every signature test in
-        # the scan; the per-frame visibility and Bloom tests are inlined
-        # because this loop runs for every access of every core (DESIGN
-        # §11).  Each signature is tested on its own word — OR-ing the
+        """The first conflicting holder: ("core", idx) or ("suspended", ctx).
+
+        ``mask`` is ``line``'s H3 mask; ``line`` itself names the probe
+        for whoever wraps this method (perfbench classifies hits by it).
+        """
+        my_ctx = core.ctx
+        if self._cover.misses(my_ctx.tid, mask, is_write):
+            # no other context's cover words contain the mask, so no
+            # signature below does (DESIGN §11, "Conflict-scan prefilter")
+            return None
+        # the per-frame visibility and Bloom tests are inlined because
+        # this loop runs for every access that passes the prefilter.
+        # Each signature is tested on its own word — OR-ing the
         # read/write filters first would manufacture false positives.
-        mask = self._mask_of(line)
         my_idx = core.idx
         for other in self.cores:
             octx = other.ctx
@@ -1148,13 +1158,19 @@ class Simulator:
         if self._multiplex:
             # suspended transactions' signatures stay armed (the summary
             # signature of Section IV-C)
+            cores = self.cores
             for ctx in self._ctxs:
-                if ctx.done or not ctx.frames or ctx is core.ctx:
+                if ctx.done or not ctx.frames or ctx is my_ctx:
                     continue
-                if any(c.ctx is ctx for c in self.cores):
+                if cores[ctx.last_core].ctx is ctx:
                     continue  # mounted: handled above
-                if self._frames_conflict_mask(ctx.frames, mask, is_write) is not None:
-                    return ("suspended", ctx)
+                for frame in ctx.frames:
+                    if not visible(frame):
+                        continue
+                    if (frame.write_sig._word & mask == mask) or (
+                        is_write and frame.read_sig._word & mask == mask
+                    ):
+                        return ("suspended", ctx)
         return None
 
     def _resolve_conflict(self, core: _Core, holder_idx: int, op: Any) -> None:
@@ -1242,9 +1258,7 @@ class Simulator:
             # ``holder`` is the first hit of the scan that just ran in
             # _access, and re-resolving it would only stall again
             self._armed[core.idx] = (
-                holder_idx, self._mask_of(op.addr >> LINE_SHIFT),
-                type(op) is Write,
-            )
+                holder_idx, self._probe_mask, type(op) is Write)
         period = self._stall_period if period is None else period
         if self.faults is not None:
             period = self.faults.perturb_stall_retry(core.idx, period)
@@ -1303,24 +1317,8 @@ class Simulator:
 
     def _disarm_covered(self, j: int, frame: TxFrame) -> None:
         """Disarm the stalled cores whose next scan would now hit
-        ``frame`` of core ``j`` before reaching their holder.
-
-        Called wherever a frame's visible coverage can grow: a new line,
-        a nested merge, a lazy frame starting to publish.  The scan
-        visits cores in index order and stops at the first hit, so only
-        waiters whose holder comes after ``j`` can change outcome.
-        """
-        if frame.mode == "lazy" and not frame.vm.get("publishing"):
-            return  # invisible to the scan
-        w = frame.write_sig._word
-        r = frame.read_sig._word
-        armed = self._armed
-        hit = [
-            idx for idx, (holder, mask, is_write) in armed.items()
-            if j < holder and (
-                w & mask == mask or (is_write and r & mask == mask))
-        ]
-        for idx in hit:
+        ``frame`` of core ``j`` before reaching their holder."""
+        for idx in self._cover.covered(j, frame):
             self._disarm(idx)
 
     def _disarm(self, idx: int) -> None:
@@ -1387,7 +1385,7 @@ class Simulator:
             if other.idx == core.idx or other.ctx is None or not other.frames:
                 continue
             for oframe in other.frames:
-                if not self._frame_visible(oframe):
+                if not visible(oframe):
                     continue
                 for m in masks:
                     if oframe.may_read_conflict_mask(m):
@@ -1403,7 +1401,7 @@ class Simulator:
             if ctx.done or not ctx.frames or ctx in mounted or ctx is core.ctx:
                 continue
             for oframe in ctx.frames:
-                if not self._frame_visible(oframe):
+                if not visible(oframe):
                     continue
                 if any(oframe.may_read_conflict_mask(m) for m in masks):
                     return True
@@ -1415,7 +1413,7 @@ class Simulator:
         for other in self.cores:
             if other.idx == core.idx or other.ctx is None or not other.frames:
                 continue
-            if self._frame_visible(other.frames[0]):
+            if visible(other.frames[0]):
                 continue
             for oframe in other.frames:
                 if any(oframe.may_read_conflict_mask(m) for m in masks):
@@ -1427,7 +1425,7 @@ class Simulator:
             for ctx in self._ctxs:
                 if ctx.done or not ctx.frames or ctx in mounted:
                     continue
-                if self._frame_visible(ctx.frames[0]):
+                if visible(ctx.frames[0]):
                     continue
                 if any(
                     f.may_read_conflict_mask(m)

@@ -12,6 +12,7 @@ from repro.config import HTMConfig, SimConfig
 from repro.htm.ops import Read, Tx, Work, Write
 from repro.runner import ExperimentSpec, execute_spec
 from repro.simulator import Simulator
+from repro.workloads import make_workload
 
 SHARED = 0x9000
 
@@ -171,3 +172,22 @@ def test_stall_poll_counters_are_pinned():
         "events": 3616, "peak_queue": 4,
         "stall_polls": 1985, "stall_repolls_skipped": 1965,
     }
+
+
+def test_conflict_scan_counters_are_pinned():
+    # kmeans is read-heavy with little contention: nearly every scan
+    # misses, and the prefilter answers all but the real signature hits
+    # without walking the frames (DESIGN §11, "Conflict-scan
+    # prefilter").  The digests cannot see which path a scan took, so
+    # a change that silently stops the prefilter from firing fails here.
+    spec = ExperimentSpec(
+        workload="kmeans", scheme="suv", scale="tiny", seed=3, cores=4)
+    config = spec.build_config()
+    program = make_workload(spec.workload, n_threads=config.n_cores,
+                            seed=spec.seed, scale=spec.scale)
+    sim = Simulator(config, scheme=spec.scheme, seed=spec.seed)
+    res = sim.run(program.threads)
+    assert res.total_cycles == 10264
+    cover = sim._cover
+    assert (cover.conflict_scans, cover.conflict_scans_prefiltered) == (
+        8269, 8251)
